@@ -3,9 +3,8 @@
 //! Simulations must replay bit-identically from a seed, across platforms
 //! and across versions of third-party crates. We therefore implement the
 //! generator locally: `xoshiro256**` (Blackman & Vigna), seeded through
-//! SplitMix64 as its authors recommend. The `rand` crate is still used in
-//! tests and benches for convenience, but nothing inside a simulation
-//! depends on it.
+//! SplitMix64 as its authors recommend. It is the workspace's only
+//! generator: tests and benches draw from it too.
 //!
 //! The paper's simulations need randomness in exactly two places: the
 //! staggered start times of connections ("the two connections started at

@@ -5,7 +5,9 @@
 //! its lifetime (parameter sweeps, mode censuses). These thread-local
 //! counters aggregate queue activity across every queue touched by the
 //! current thread, so a harness can meter an experiment without threading
-//! a stats handle through every scenario builder:
+//! a stats handle through every scenario builder. World construction
+//! folds in its route-computation time and BFS destination count the
+//! same way ([`record_routes`]):
 //!
 //! ```
 //! use td_engine::{telemetry, EventQueue, SimTime};
@@ -32,6 +34,8 @@ struct Counters {
     scheduled: Cell<u64>,
     dispatched: Cell<u64>,
     peak_depth: Cell<usize>,
+    routes_ns: Cell<u64>,
+    route_bfs_dests: Cell<u64>,
 }
 
 thread_local! {
@@ -40,6 +44,8 @@ thread_local! {
             scheduled: Cell::new(0),
             dispatched: Cell::new(0),
             peak_depth: Cell::new(0),
+            routes_ns: Cell::new(0),
+            route_bfs_dests: Cell::new(0),
         }
     };
 }
@@ -53,6 +59,13 @@ pub struct Telemetry {
     pub events_dispatched: u64,
     /// Largest live pending-event set observed on this thread.
     pub peak_queue_depth: usize,
+    /// Wall-clock nanoseconds spent computing routes while building
+    /// worlds on this thread.
+    pub routes_ns: u64,
+    /// Destination hosts whose routes came from a per-destination BFS
+    /// rather than the linear tree pass (0 when every world built on
+    /// this thread was a tree).
+    pub route_bfs_dests: u64,
 }
 
 /// Zero this thread's counters (call before metering a workload).
@@ -65,6 +78,8 @@ pub fn reset() {
         c.scheduled.set(0);
         c.dispatched.set(0);
         c.peak_depth.set(0);
+        c.routes_ns.set(0);
+        c.route_bfs_dests.set(0);
     });
 }
 
@@ -74,6 +89,8 @@ pub fn snapshot() -> Telemetry {
         events_scheduled: c.scheduled.get(),
         events_dispatched: c.dispatched.get(),
         peak_queue_depth: c.peak_depth.get(),
+        routes_ns: c.routes_ns.get(),
+        route_bfs_dests: c.route_bfs_dests.get(),
     })
 }
 
@@ -84,6 +101,16 @@ pub fn snapshot() -> Telemetry {
 /// match what a sequential run of the same items would have recorded.
 pub fn merge(t: Telemetry) {
     flush(t.events_scheduled, t.events_dispatched, t.peak_queue_depth);
+    record_routes(t.routes_ns, t.route_bfs_dests);
+}
+
+/// Fold one route computation into this thread's counters: `ns` of wall
+/// time, `bfs_dests` destinations routed by per-destination BFS.
+pub fn record_routes(ns: u64, bfs_dests: u64) {
+    COUNTERS.with(|c| {
+        c.routes_ns.set(c.routes_ns.get() + ns);
+        c.route_bfs_dests.set(c.route_bfs_dests.get() + bfs_dests);
+    });
 }
 
 /// Fold a batch of queue activity into this thread's counters: `scheduled`
@@ -112,6 +139,14 @@ mod tests {
         assert_eq!(t.events_scheduled, 2);
         assert_eq!(t.events_dispatched, 1);
         assert_eq!(t.peak_queue_depth, 3, "peak is a running max");
+        record_routes(40, 2);
+        merge(Telemetry {
+            routes_ns: 2,
+            route_bfs_dests: 1,
+            ..Telemetry::default()
+        });
+        let t = snapshot();
+        assert_eq!((t.routes_ns, t.route_bfs_dests), (42, 3));
         reset();
         assert_eq!(snapshot(), Telemetry::default());
     }

@@ -502,6 +502,8 @@ pub fn decode_cell(bytes: &[u8]) -> Result<JournalCell, SnapError> {
         peak_queue_depth: r.read_u64()? as usize,
         peak_rss_kib: if version >= 2 { r.read_u64()? } else { 0 },
         peak_rss_is_process_max: if version >= 3 { r.read_bool()? } else { true },
+        routes_s: 0.0,
+        route_bfs_dests: 0,
     };
     let total = r.read_u64()?;
     let n_reports = r.read_u64()?;
@@ -672,6 +674,8 @@ mod tests {
                 peak_queue_depth: 12,
                 peak_rss_kib: 4096,
                 peak_rss_is_process_max: false,
+                routes_s: 0.0,
+                route_bfs_dests: 0,
             },
             audit: Tally {
                 total: 1,

@@ -159,6 +159,13 @@ pub struct Timing {
     /// kernel without `CONFIG_PROC_PAGE_MONITOR`): `peak_rss_kib` is
     /// then the process-lifetime high-water mark, not this cell's.
     pub peak_rss_is_process_max: bool,
+    /// Wall-clock seconds spent computing routes across every world the
+    /// experiment built. Not journaled: a replayed cell reports 0.
+    pub routes_s: f64,
+    /// Destinations whose routes came from the BFS fallback instead of
+    /// the tree pass (0 when every world the experiment built was a
+    /// tree). Not journaled: a replayed cell reports 0.
+    pub route_bfs_dests: u64,
 }
 
 /// The process's peak resident-set size in KiB: `VmHWM` from
@@ -360,6 +367,7 @@ impl BatchResult {
                  \"wall_s\": {:.6}, \"events_scheduled\": {}, \"events_dispatched\": {}, \
                  \"peak_queue_depth\": {}, \"peak_rss_kib\": {}, \
                  \"peak_rss_is_process_max\": {}, \
+                 \"routes_s\": {:.6}, \"route_bfs_dests\": {}, \
                  \"audit_violations\": {}, \"audit\": {audit}, \
                  \"snapshots_taken\": {}, \"snapshots_restored\": {}, \
                  \"mc\": {{\"states_visited\": {}, \"states_deduped\": {}, \
@@ -376,6 +384,8 @@ impl BatchResult {
                 t.peak_queue_depth,
                 t.peak_rss_kib,
                 t.peak_rss_is_process_max,
+                t.routes_s,
+                t.route_bfs_dests,
                 r.audit.total,
                 r.snap.taken,
                 r.snap.restored,
@@ -627,6 +637,8 @@ pub fn run_batch_resumable(
                             peak_queue_depth: telem.peak_queue_depth,
                             peak_rss_kib: peak_rss_kib(),
                             peak_rss_is_process_max: !rss_reset,
+                            routes_s: telem.routes_ns as f64 * 1e-9,
+                            route_bfs_dests: telem.route_bfs_dests,
                         },
                         audit,
                         snap,
@@ -765,6 +777,8 @@ mod tests {
             "\"panic\": null",
             "\"events_dispatched\"",
             "\"peak_queue_depth\"",
+            "\"routes_s\"",
+            "\"route_bfs_dests\": 0",
             "\"wall_s_by_id\"",
             "\"mean_s\"",
         ] {
@@ -775,6 +789,7 @@ mod tests {
         assert!(r.timing.events_dispatched > 0);
         assert!(r.timing.peak_queue_depth > 0);
         assert!(r.timing.events_scheduled >= r.timing.events_dispatched);
+        assert!(r.timing.routes_s > 0.0, "the dumbbell's routes were timed");
         assert!(json.matches("{\"id\"").count() == 1 || json.contains("{\"id\": "));
     }
 

@@ -105,7 +105,7 @@ impl ScaleParams {
     /// 6400 × 156 + 6399 × 4 = 1 023 996 connections. Only viable with
     /// the compressed routing tables — a dense per-switch map at this
     /// scale would cost tens of GiB before the first packet moves. Trace
-    /// off, streaming metrics only, same shape as [`rung_100k`].
+    /// off, streaming metrics only, same shape as [`ScaleParams::rung_100k`].
     pub fn rung_1m(p: Profile) -> ScaleParams {
         ScaleParams {
             clusters: 6400,

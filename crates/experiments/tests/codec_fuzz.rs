@@ -52,6 +52,8 @@ fn sample_cell_bytes() -> Vec<u8> {
             peak_queue_depth: 12,
             peak_rss_kib: 4096,
             peak_rss_is_process_max: false,
+            routes_s: 0.0,
+            route_bfs_dests: 0,
         },
         audit: Default::default(),
         snap: Default::default(),

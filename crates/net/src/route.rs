@@ -42,7 +42,7 @@ pub(crate) struct Run {
 
 /// A compressed next-hop table: sorted disjoint runs plus an optional
 /// default channel covering every id no run claims.
-#[derive(Default, Debug)]
+#[derive(Clone, Default, Debug, PartialEq, Eq)]
 pub(crate) struct RouteTable {
     runs: Vec<Run>,
     default: Option<ChannelId>,
@@ -83,6 +83,21 @@ impl RouteTable {
             end: dst.0,
             ch,
         });
+    }
+
+    /// Append the run `(start ..= end) → ch` during an ascending build
+    /// (the tree pass of [`crate::World::compute_routes`]): merges into
+    /// the last run when it has the same channel. The caller guarantees
+    /// that no host id between the last run's end and `start` is skipped.
+    pub fn push_run(&mut self, start: u32, end: u32, ch: ChannelId) {
+        if let Some(last) = self.runs.last_mut() {
+            debug_assert!(last.end < start, "push_run requires ascending runs");
+            if last.ch == ch {
+                last.end = end;
+                return;
+            }
+        }
+        self.runs.push(Run { start, end, ch });
     }
 
     /// Install a single route, preserving the run invariants: overwrites

@@ -166,20 +166,23 @@ impl ShardedWorld {
         // Counts catch gross divergence cheaply and give a better message;
         // the structural digest then catches builders that keep the counts
         // but vary wiring, rates, delays, routes, fault plans, endpoint
-        // placement, or start times between replicas.
-        let digest = worlds[0].structure_digest();
-        for w in &worlds {
-            assert!(
-                w.node_count() == n_nodes
-                    && w.channel_count() == n_channels
-                    && w.endpoint_count() == n_eps,
-                "world builder is non-deterministic: shard replicas disagree on topology size"
-            );
-            assert!(
-                w.structure_digest() == digest,
-                "world builder is non-deterministic: shard replicas disagree on structure \
-                 (same component counts, different configuration)"
-            );
+        // placement, or start times between replicas. A single replica
+        // has nothing to cross-check, so it skips the digest altogether.
+        if shards > 1 {
+            let digest = worlds[0].structure_digest();
+            for w in &worlds[1..] {
+                assert!(
+                    w.node_count() == n_nodes
+                        && w.channel_count() == n_channels
+                        && w.endpoint_count() == n_eps,
+                    "world builder is non-deterministic: shard replicas disagree on topology size"
+                );
+                assert!(
+                    w.structure_digest() == digest,
+                    "world builder is non-deterministic: shard replicas disagree on structure \
+                     (same component counts, different configuration)"
+                );
+            }
         }
 
         let node_shard = partition(&worlds[0], shards);

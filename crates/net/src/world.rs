@@ -814,21 +814,170 @@ impl World {
             .collect()
     }
 
-    /// Compute shortest-path routes from every switch to every host by BFS
-    /// (hop count metric; ties broken by channel id for determinism),
-    /// replacing whatever routes the switches held. Runs are appended
-    /// directly from the per-destination BFS — destinations arrive in
-    /// ascending id order, so consecutive hosts sharing a next-hop extend
-    /// the previous run in O(1) and the dense (switch × host) map is never
-    /// materialized. Afterwards each fully-covering switch elides its
-    /// majority channel into a default route (see [`crate::route`]).
+    /// Compute shortest-path routes from every switch to every host (hop
+    /// count metric; ties broken by channel id for determinism),
+    /// replacing whatever routes the switches held, then let each
+    /// fully-covering switch elide its majority channel into a default
+    /// route (see the `route` module).
+    ///
+    /// A tree of paired links — every chain, dumbbell and star — is
+    /// routed by one linear pass (`tree_routes`); any other graph falls
+    /// back to one BFS per destination (`bfs_routes`).
+    /// Both produce the same tables run for run. The wall time and the
+    /// number of BFS destinations go to [`td_engine::telemetry`].
     pub fn compute_routes(&mut self) {
+        let t0 = std::time::Instant::now();
         let host_ids = self.host_ids();
+        self.clear_routes();
+        let bfs_dests = if self.tree_routes(&host_ids) {
+            0
+        } else {
+            self.bfs_routes(&host_ids);
+            host_ids.len() as u64
+        };
+        self.finish_routes(&host_ids);
+        td_engine::telemetry::record_routes(t0.elapsed().as_nanos() as u64, bfs_dests);
+    }
+
+    fn clear_routes(&mut self) {
         for node in &mut self.nodes {
             if let NodeKind::Switch { table } = &mut node.kind {
                 table.clear();
             }
         }
+    }
+
+    /// Default-route elision and capacity trim after a bulk build.
+    fn finish_routes(&mut self, host_ids: &[u32]) {
+        for node in &mut self.nodes {
+            if let NodeKind::Switch { table } = &mut node.kind {
+                table.elide_default(host_ids);
+                table.shrink();
+            }
+        }
+    }
+
+    /// The linear route pass, in O(nodes + channels + runs). It applies
+    /// when the channel graph is a connected tree of paired links
+    /// (`channels == 2·(nodes−1)`, every non-root node has exactly one
+    /// channel back to its parent) and an iterative DFS from node 0,
+    /// taking outgoing channels in id order, meets the hosts in
+    /// ascending id order. Then every subtree holds an interval of host
+    /// indices, and a switch routes the hosts before and after its own
+    /// interval to its parent and each child's interval to that child —
+    /// exactly the runs the BFS appends. Returns `false`, with no table
+    /// touched, when the graph does not qualify.
+    fn tree_routes(&mut self, host_ids: &[u32]) -> bool {
+        const NONE: u32 = u32::MAX;
+        let n = self.nodes.len();
+        let m = self.channels.len();
+        if n == 0 || m != 2 * (n - 1) {
+            return false;
+        }
+        // Outgoing adjacency in CSR form, channel ids ascending per node.
+        let mut first = vec![0u32; n + 1];
+        for ci in 0..m {
+            first[self.channels.src(ci).0 as usize + 1] += 1;
+        }
+        for i in 0..n {
+            first[i + 1] += first[i];
+        }
+        let mut out = vec![0u32; m];
+        let mut fill = first.clone();
+        for ci in 0..m {
+            let s = self.channels.src(ci).0 as usize;
+            out[fill[s] as usize] = ci as u32;
+            fill[s] += 1;
+        }
+        // Iterative DFS (a 1M-connection chain is tens of thousands of
+        // nodes deep). `down[v]` is the channel that discovered v, `up[v]`
+        // its channel back to the parent, `lo[v]..hi[v]` its subtree's
+        // host-index interval.
+        let mut parent = vec![NONE; n];
+        let mut down = vec![NONE; n];
+        let mut up = vec![NONE; n];
+        let mut seen = vec![false; n];
+        let mut lo = vec![0u32; n];
+        let mut hi = vec![0u32; n];
+        let mut next_host = 0usize;
+        let mut stack: Vec<(u32, u32)> = Vec::new();
+        let enter = |v: usize, next_host: &mut usize, seen: &mut [bool], lo: &mut [u32]| {
+            seen[v] = true;
+            lo[v] = *next_host as u32;
+            if self.hosts.is_host(v) {
+                if host_ids.get(*next_host) != Some(&(v as u32)) {
+                    return false;
+                }
+                *next_host += 1;
+            }
+            true
+        };
+        if !enter(0, &mut next_host, &mut seen, &mut lo) {
+            return false;
+        }
+        stack.push((0, first[0]));
+        while let Some(top) = stack.last_mut() {
+            let (u, k) = (top.0 as usize, top.1);
+            if k == first[u + 1] {
+                hi[u] = next_host as u32;
+                stack.pop();
+                continue;
+            }
+            top.1 += 1;
+            let ch = out[k as usize];
+            let v = self.channels.dst(ch as usize).0 as usize;
+            if !seen[v] {
+                parent[v] = u as u32;
+                down[v] = ch;
+                if !enter(v, &mut next_host, &mut seen, &mut lo) {
+                    return false;
+                }
+                stack.push((v as u32, first[v]));
+            } else if parent[u] == v as u32 && up[u] == NONE {
+                up[u] = ch;
+            } else {
+                // A cycle, a parallel or self link, or out-of-walk order.
+                return false;
+            }
+        }
+        if seen.contains(&false) {
+            return false;
+        }
+        // All n nodes were reached, so n−1 channels are `down`s and the
+        // other n−1 are `up`s: a tree of paired links, every host met in
+        // order. Emit each switch's runs in host order.
+        let h = host_ids.len() as u32;
+        for (s, node) in self.nodes.iter_mut().enumerate() {
+            let NodeKind::Switch { table } = &mut node.kind else {
+                continue;
+            };
+            let mut push = |a: u32, b: u32, ch: u32| {
+                if a < b {
+                    table.push_run(
+                        host_ids[a as usize],
+                        host_ids[b as usize - 1],
+                        ChannelId(ch),
+                    );
+                }
+            };
+            push(0, lo[s], up[s]);
+            for &ch in &out[first[s] as usize..first[s + 1] as usize] {
+                let v = self.channels.dst(ch as usize).0 as usize;
+                if down[v] == ch {
+                    push(lo[v], hi[v], ch);
+                }
+            }
+            push(hi[s], h, up[s]);
+        }
+        true
+    }
+
+    /// Per-destination BFS routing for any graph: one reverse BFS per
+    /// host, in ascending id order, appending runs straight into the
+    /// tables — consecutive hosts sharing a next-hop extend the previous
+    /// run in O(1), so the dense (switch × host) map is never
+    /// materialized. O(hosts × nodes).
+    fn bfs_routes(&mut self, host_ids: &[u32]) {
         // Incoming-channel adjacency, built once: rescanning every channel
         // per BFS frontier node is quadratic and dominates route setup on
         // multi-thousand-node chains. Per-node lists hold channel ids in
@@ -846,7 +995,7 @@ impl World {
         let mut via = vec![ChannelId(0); n];
         let mut frontier = VecDeque::new();
         let mut prev_host: Option<u32> = None;
-        for (epoch, &dst) in (1u32..).zip(&host_ids) {
+        for (epoch, &dst) in (1u32..).zip(host_ids) {
             seen[dst as usize] = epoch;
             frontier.push_back(NodeId(dst));
             while let Some(u) = frontier.pop_front() {
@@ -867,12 +1016,6 @@ impl World {
                 }
             }
             prev_host = Some(dst);
-        }
-        for node in &mut self.nodes {
-            if let NodeKind::Switch { table } = &mut node.kind {
-                table.elide_default(&host_ids);
-                table.shrink();
-            }
         }
     }
 
@@ -2616,6 +2759,211 @@ mod tests {
         }
         // Channel 2 leaves s1, not s0.
         w.set_route(s0, h1, ChannelId(2));
+    }
+
+    /// Every switch's table with its heap bytes, in node order.
+    fn route_tables(w: &World) -> Vec<(RouteTable, usize)> {
+        w.nodes
+            .iter()
+            .filter_map(|n| match &n.kind {
+                NodeKind::Switch { table } => Some((table.clone(), table.heap_bytes())),
+                NodeKind::Host { .. } => None,
+            })
+            .collect()
+    }
+
+    /// Route `w` through `compute_routes`, then again by forced BFS;
+    /// returns whether the first call took the tree pass and both sets
+    /// of tables.
+    #[allow(clippy::type_complexity)]
+    fn routes_both_ways(
+        w: &mut World,
+    ) -> (bool, Vec<(RouteTable, usize)>, Vec<(RouteTable, usize)>) {
+        td_engine::telemetry::reset();
+        w.compute_routes();
+        let tree = td_engine::telemetry::snapshot().route_bfs_dests == 0;
+        let computed = route_tables(w);
+        let host_ids = w.host_ids();
+        w.clear_routes();
+        w.bfs_routes(&host_ids);
+        w.finish_routes(&host_ids);
+        (tree, computed, route_tables(w))
+    }
+
+    fn duplex(w: &mut World, a: NodeId, b: NodeId) -> (ChannelId, ChannelId) {
+        crate::LinkSpec::paper_host_link().add_between(w, a, b)
+    }
+
+    /// The tree pass builds the BFS's tables run for run — defaults and
+    /// heap bytes too — on every builder family, including a host
+    /// as the DFS root and a switch with no hosts below it.
+    #[test]
+    fn tree_pass_matches_bfs_run_for_run() {
+        let link = crate::LinkSpec::paper_bottleneck(SimDuration::from_millis(10), Some(20));
+        let host = crate::LinkSpec::paper_host_link();
+        let proc = SimDuration::from_micros(100);
+        let mut worlds = vec![crate::dumbbell(1, link, host, proc).world];
+        for n in [2, 3, 6] {
+            worlds.push(crate::chain(1, n, link, host, proc).world);
+        }
+        // Host root, a host-less transit switch, and a branching star.
+        let mut w = World::new(1);
+        let h0 = w.add_host("h0", proc);
+        let hub = w.add_switch("hub");
+        duplex(&mut w, h0, hub);
+        let transit = w.add_switch("transit");
+        duplex(&mut w, hub, transit);
+        for i in 1..4 {
+            let h = w.add_host(&format!("h{i}"), proc);
+            duplex(&mut w, h, hub);
+        }
+        let leaf = w.add_switch("leaf");
+        duplex(&mut w, transit, leaf);
+        worlds.push(w);
+        for (i, mut w) in worlds.into_iter().enumerate() {
+            let (tree, computed, bfs) = routes_both_ways(&mut w);
+            assert!(tree, "world {i} should take the tree pass");
+            assert_eq!(computed, bfs, "world {i}: tables differ");
+            w.validate_routes();
+        }
+    }
+
+    /// Random trees: switches under random earlier switches, hosts as
+    /// leaves. Created in walk order, every tree takes the tree pass;
+    /// created in index order, many do not. Either way the tables equal
+    /// the forced BFS's.
+    #[test]
+    fn random_trees_match_bfs() {
+        let proc = SimDuration::from_micros(100);
+        let mut index_order_tree_passes = 0;
+        for seed in 0..60u64 {
+            let mut rng = SimRng::new(seed);
+            let k = 2 + rng.next_below(30) as usize;
+            // Node 0 is a switch; node i > 0 hangs off switch parent[i].
+            let mut is_switch = vec![true; k];
+            let mut parent = vec![0usize; k];
+            for i in 1..k {
+                let switches: Vec<usize> = (0..i).filter(|&j| is_switch[j]).collect();
+                parent[i] = switches[rng.next_below(switches.len() as u64) as usize];
+                is_switch[i] = rng.chance(0.4);
+            }
+            for walk_order in [false, true] {
+                let order: Vec<usize> = if walk_order {
+                    let mut pre = Vec::new();
+                    let mut stack = vec![0];
+                    while let Some(u) = stack.pop() {
+                        pre.push(u);
+                        stack.extend((1..k).rev().filter(|&c| parent[c] == u));
+                    }
+                    pre
+                } else {
+                    (0..k).collect()
+                };
+                let mut w = World::new(seed);
+                let mut id = vec![NodeId(0); k];
+                for &i in &order {
+                    id[i] = if is_switch[i] {
+                        w.add_switch(&format!("s{i}"))
+                    } else {
+                        w.add_host(&format!("h{i}"), proc)
+                    };
+                    if i > 0 {
+                        duplex(&mut w, id[parent[i]], id[i]);
+                    }
+                }
+                let (tree, computed, bfs) = routes_both_ways(&mut w);
+                assert!(
+                    tree || !walk_order,
+                    "seed {seed}: walk-ordered tree fell back"
+                );
+                assert_eq!(computed, bfs, "seed {seed}, walk order {walk_order}");
+                if !walk_order && tree {
+                    index_order_tree_passes += 1;
+                }
+            }
+        }
+        assert!(
+            index_order_tree_passes < 60,
+            "index order should defeat some walks"
+        );
+    }
+
+    /// Graphs that are not walk-ordered trees of paired links keep the
+    /// BFS: a cycle, a parallel link, a one-way link, and hosts whose ids
+    /// are out of walk order.
+    #[test]
+    fn non_tree_graphs_fall_back_to_bfs() {
+        let proc = SimDuration::from_micros(100);
+        let ring = {
+            let mut w = World::new(1);
+            let sw: Vec<NodeId> = (0..4).map(|i| w.add_switch(&format!("s{i}"))).collect();
+            for i in 0..4 {
+                duplex(&mut w, sw[i], sw[(i + 1) % 4]);
+                let h = w.add_host(&format!("h{i}"), proc);
+                duplex(&mut w, h, sw[i]);
+            }
+            w
+        };
+        let parallel = {
+            let mut w = World::new(1);
+            let (s0, s1) = (w.add_switch("s0"), w.add_switch("s1"));
+            let (h0, h1) = (w.add_host("h0", proc), w.add_host("h1", proc));
+            duplex(&mut w, h0, s0);
+            duplex(&mut w, h1, s1);
+            duplex(&mut w, s0, s1);
+            duplex(&mut w, s0, s1);
+            w
+        };
+        let one_way = {
+            let mut w = World::new(1);
+            let s = w.add_switch("s");
+            let (h0, h1) = (w.add_host("h0", proc), w.add_host("h1", proc));
+            duplex(&mut w, h0, s);
+            duplex(&mut w, h1, s);
+            let h2 = w.add_host("h2", proc);
+            w.add_channel(
+                h2,
+                s,
+                Rate::from_kbps(50),
+                proc,
+                None,
+                Box::new(DropTail::new()),
+                FaultModel::NONE,
+            );
+            w.add_channel(
+                s,
+                h0,
+                Rate::from_kbps(50),
+                proc,
+                None,
+                Box::new(DropTail::new()),
+                FaultModel::NONE,
+            );
+            w
+        };
+        let out_of_order = {
+            // The walk from s0 meets hb (id 4, under s1) before ha (id 3,
+            // under s2).
+            let mut w = World::new(1);
+            let (s0, s1, s2) = (w.add_switch("s0"), w.add_switch("s1"), w.add_switch("s2"));
+            duplex(&mut w, s0, s1);
+            duplex(&mut w, s0, s2);
+            let ha = w.add_host("ha", proc);
+            let hb = w.add_host("hb", proc);
+            duplex(&mut w, s1, hb);
+            duplex(&mut w, s2, ha);
+            w
+        };
+        for (label, mut w) in [
+            ("ring", ring),
+            ("parallel", parallel),
+            ("one-way", one_way),
+            ("out-of-order", out_of_order),
+        ] {
+            let (tree, computed, bfs) = routes_both_ways(&mut w);
+            assert!(!tree, "{label} must fall back to the BFS");
+            assert_eq!(computed, bfs, "{label}");
+        }
     }
 
     /// `validate_routes` must list *every* unreachable (switch,

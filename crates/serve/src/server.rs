@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::io::{self, BufRead as _, BufReader, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use td_engine::{SimRng, SnapReader, SnapWriter};
@@ -41,6 +41,9 @@ use td_experiments::sweep::budget;
 const PENDING_MAGIC: &[u8; 4] = b"TDQP";
 /// Pending-queue record version.
 const PENDING_VERSION: u32 = 1;
+/// How long a drain waits, after the workers stop, for connection
+/// threads to write the replies they still owe.
+const REPLY_DRAIN_WAIT: Duration = Duration::from_secs(5);
 
 /// Daemon configuration (the `td-serve serve` flag surface).
 #[derive(Clone, Debug)]
@@ -150,8 +153,28 @@ struct Shared {
     queue: Mutex<QueueState>,
     cond: Condvar,
     draining: AtomicBool,
+    /// Requests read from a connection whose reply is not yet written
+    /// (see [`ReplyOwed`]); a drain waits for this to reach zero.
+    replies_owed: AtomicUsize,
     /// Consecutive final failures per config hash.
     breaker: Mutex<HashMap<u64, u32>>,
+}
+
+/// One reply owed on a connection, from the moment its request line is
+/// read until the reply is written (or the write fails).
+struct ReplyOwed<'a>(&'a Shared);
+
+impl<'a> ReplyOwed<'a> {
+    fn new(shared: &'a Shared) -> Self {
+        shared.replies_owed.fetch_add(1, Ordering::SeqCst);
+        ReplyOwed(shared)
+    }
+}
+
+impl Drop for ReplyOwed<'_> {
+    fn drop(&mut self) {
+        self.0.replies_owed.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// Run the daemon until a drain completes. `interrupt` is the
@@ -171,6 +194,7 @@ pub fn run(cfg: ServeConfig, interrupt: Option<&'static AtomicBool>) -> io::Resu
         queue: Mutex::new(QueueState::default()),
         cond: Condvar::new(),
         draining: AtomicBool::new(false),
+        replies_owed: AtomicUsize::new(0),
         breaker: Mutex::new(HashMap::new()),
         cfg,
     });
@@ -222,6 +246,17 @@ pub fn run(cfg: ServeConfig, interrupt: Option<&'static AtomicBool>) -> io::Resu
     drain_queue(&shared)?;
     for w in workers {
         let _ = w.join();
+    }
+    // Connection threads are detached: the worker results and `draining`
+    // replies they received still have to reach their sockets before the
+    // process exits.
+    let waited = Instant::now();
+    while shared.replies_owed.load(Ordering::SeqCst) > 0 && waited.elapsed() < REPLY_DRAIN_WAIT {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let owed = shared.replies_owed.load(Ordering::SeqCst);
+    if owed > 0 {
+        eprintln!("td-serve: {owed} reply(ies) still unwritten after the drain wait");
     }
     eprintln!("td-serve: drain complete");
     Ok(if signalled { 130 } else { 0 })
@@ -369,6 +404,7 @@ fn handle_conn(shared: &Arc<Shared>, stream: UnixStream) {
         if line.trim().is_empty() {
             continue;
         }
+        let _owed = ReplyOwed::new(shared);
         let resp = handle_line(shared, &line);
         if writeln!(writer, "{resp}").is_err() {
             return;
