@@ -401,10 +401,20 @@ pub fn decode_checked_line(line: &str) -> Result<Vec<u8>, LineDamage> {
     Ok(payload)
 }
 
+/// FNV-1a offset basis: the hash state before any byte.
+const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a over a byte string: the per-line checksum of the journal and
 /// the trailer checksum of the serve store's cell files.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_continue(FNV1A_OFFSET, bytes)
+}
+
+/// Continue an FNV-1a hash from `state` over `bytes`. FNV-1a is a
+/// streaming hash, so `fnv1a_continue(fnv1a(a), b) == fnv1a(a ‖ b)`:
+/// a caller that has already hashed a prefix need not hash it again.
+pub fn fnv1a_continue(state: u64, bytes: &[u8]) -> u64 {
+    let mut h = state;
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -938,6 +948,26 @@ mod tests {
         assert_eq!(report.dropped_lines, 0);
         assert_eq!(report.truncated_at_byte, None);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fnv1a_continues_across_any_split() {
+        // Pinned FNV-1a-64 vectors, so the streaming form stays the
+        // same hash the journal and the cell store have always used.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        let mut rng = td_engine::SimRng::new(0x5eed);
+        for _ in 0..200 {
+            let len = rng.next_below(300) as usize;
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let cut = rng.next_below(len as u64 + 1) as usize;
+            let (a, b) = bytes.split_at(cut);
+            assert_eq!(
+                fnv1a_continue(fnv1a(a), b),
+                fnv1a(&bytes),
+                "split {cut}/{len}"
+            );
+        }
     }
 
     #[test]

@@ -26,14 +26,14 @@
 use crate::proto::{self, Request, SimulateReq};
 use crate::store::{CellData, CellKey, Lookup, Store};
 use std::collections::HashMap;
-use std::io::{self, BufRead as _, BufReader, Write as _};
+use std::io::{self, BufRead as _, BufReader, Read as _, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use td_engine::{SimRng, SnapReader, SnapWriter};
-use td_experiments::journal::{decode_checked_line, encode_checked_line, fnv1a};
+use td_experiments::journal::{decode_checked_line, encode_checked_line};
 use td_experiments::registry::{config_hash, find, Profile};
 use td_experiments::sweep::budget;
 
@@ -44,6 +44,10 @@ const PENDING_VERSION: u32 = 1;
 /// How long a drain waits, after the workers stop, for connection
 /// threads to write the replies they still owe.
 const REPLY_DRAIN_WAIT: Duration = Duration::from_secs(5);
+/// Longest request line accepted, newline excluded. A connection that
+/// sends more without a newline gets `bad_request` and is closed, so a
+/// client cannot grow the daemon's buffer without bound.
+const MAX_LINE_BYTES: u64 = 64 * 1024;
 
 /// Daemon configuration (the `td-serve serve` flag surface).
 #[derive(Clone, Debug)]
@@ -392,30 +396,55 @@ fn decode_pending(bytes: &[u8]) -> Option<SimulateReq> {
     })
 }
 
-/// Serve one connection: a line-per-request loop until EOF.
+/// Serve one connection: a line-per-request loop until EOF. A line is
+/// read with a [`MAX_LINE_BYTES`] cap: an over-long line gets
+/// `bad_request` and ends the connection; a non-UTF-8 line gets
+/// `bad_request` and the connection stays open.
 fn handle_conn(shared: &Arc<Shared>, stream: UnixStream) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
-        if line.trim().is_empty() {
-            continue;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        match (&mut reader)
+            .take(MAX_LINE_BYTES + 1)
+            .read_until(b'\n', &mut buf)
+        {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
         }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        }
+        let too_long = buf.len() as u64 > MAX_LINE_BYTES;
+        let line = if too_long {
+            Err(format!("request line exceeds {MAX_LINE_BYTES} bytes"))
+        } else {
+            match std::str::from_utf8(&buf) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => Ok(line),
+                Err(_) => Err("request line is not UTF-8".to_owned()),
+            }
+        };
         let _owed = ReplyOwed::new(shared);
-        let resp = handle_line(shared, &line);
-        if writeln!(writer, "{resp}").is_err() {
+        let resp = handle_line(shared, line);
+        if writeln!(writer, "{resp}").is_err() || too_long {
             return;
         }
         let _ = writer.flush();
     }
 }
 
-fn handle_line(shared: &Arc<Shared>, line: &str) -> String {
+/// Answer one request line; `Err` is a line rejected before parsing.
+fn handle_line(shared: &Arc<Shared>, line: Result<&str, String>) -> String {
     shared.counters.requests.fetch_add(1, Ordering::SeqCst);
-    match proto::parse_request(line) {
+    match line.and_then(proto::parse_request) {
         Err(why) => {
             shared.counters.bad_requests.fetch_add(1, Ordering::SeqCst);
             format!(
@@ -461,10 +490,10 @@ fn handle_simulate(shared: &Arc<Shared>, req: SimulateReq) -> String {
     // Store lookup; a quarantined cell falls through to recompute.
     let mut recompute = false;
     match shared.store.load(key) {
-        Ok(Lookup::Hit(data)) => {
+        Ok(Lookup::Hit(data, file_fnv)) => {
             shared.counters.hits.fetch_add(1, Ordering::SeqCst);
             shared.counters.ok.fetch_add(1, Ordering::SeqCst);
-            return render_ok(key, &data);
+            return render_ok(key, &data, file_fnv);
         }
         Ok(Lookup::Miss) => {
             shared.counters.misses.fetch_add(1, Ordering::SeqCst);
@@ -639,23 +668,26 @@ fn process_job(shared: &Arc<Shared>, job: &Job) -> String {
                     profile: req.profile,
                     report: *report,
                 };
-                if let Err(e) = shared.store.save(job.key, &data) {
-                    shared.counters.failed.fetch_add(1, Ordering::SeqCst);
-                    break render_failed(
-                        req,
-                        job.key,
-                        attempt,
-                        false,
-                        &format!("store write failed: {e}"),
-                    );
-                }
+                let file_fnv = match shared.store.save(job.key, &data) {
+                    Ok(fnv) => fnv,
+                    Err(e) => {
+                        shared.counters.failed.fetch_add(1, Ordering::SeqCst);
+                        break render_failed(
+                            req,
+                            job.key,
+                            attempt,
+                            false,
+                            &format!("store write failed: {e}"),
+                        );
+                    }
+                };
                 shared.counters.computed.fetch_add(1, Ordering::SeqCst);
                 if job.recompute {
                     shared.counters.recomputed.fetch_add(1, Ordering::SeqCst);
                 }
                 breaker_reset(shared, job.key.config_hash);
                 shared.counters.ok.fetch_add(1, Ordering::SeqCst);
-                break render_ok(job.key, &data);
+                break render_ok(job.key, &data, file_fnv);
             }
             CellOutcome::Deadline(why) => {
                 shared
@@ -730,10 +762,10 @@ fn quoted(s: &str) -> String {
 
 /// The `ok` response. Deliberately free of cache/wall-clock fields so a
 /// cache hit and a recompute of the same cell are byte-identical; the
-/// `payload_fnv` fingerprints the full stored cell encoding, which is
-/// what the byte-identity tests compare.
-fn render_ok(key: CellKey, data: &CellData) -> String {
-    let payload = crate::store::encode_cell_file(key, data);
+/// `payload_fnv` is `file_fnv`, the fingerprint of the full stored cell
+/// file that [`Store::load`] or [`Store::save`] computed, which is what
+/// the byte-identity tests compare.
+fn render_ok(key: CellKey, data: &CellData, file_fnv: u64) -> String {
     format!(
         "{{\"status\":\"ok\",\"experiment\":\"{}\",\"seed\":{},\"profile\":\"{}\",\
          \"config_hash\":\"{:016x}\",\"all_ok\":{},\"rows\":{},\"failures\":{},\
@@ -746,7 +778,7 @@ fn render_ok(key: CellKey, data: &CellData) -> String {
         data.report.rows.len(),
         data.report.failures().len(),
         data.report.metrics.len(),
-        fnv1a(&payload),
+        file_fnv,
     )
 }
 

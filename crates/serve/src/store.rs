@@ -7,6 +7,12 @@
 //! [`Report`] via the journal's shared report codec) followed by an
 //! 8-byte little-endian FNV-1a trailer over the payload.
 //!
+//! A reply fingerprints the whole file (`payload_fnv` in the daemon's
+//! `ok` line). FNV-1a streams, so that fingerprint is the trailer
+//! check continued over the trailer's 8 bytes: [`Store::load`] and
+//! [`Store::save`] hand it back from the one pass they already make,
+//! and the daemon never hashes or encodes a cell a second time.
+//!
 //! Integrity discipline:
 //!
 //! * **Every read verifies** the trailer, the snap structure, and that
@@ -24,8 +30,9 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use td_engine::{SnapReader, SnapWriter};
-use td_experiments::journal::{fnv1a, read_report, write_report};
+use td_experiments::journal::{fnv1a, fnv1a_continue, read_report, write_report};
 use td_experiments::registry::Profile;
 use td_experiments::report::Report;
 
@@ -59,8 +66,9 @@ pub struct CellData {
 pub enum Lookup {
     /// No cell on disk.
     Miss,
-    /// Intact cell, checksum verified.
-    Hit(Box<CellData>),
+    /// Intact cell, checksum verified, with the FNV-1a fingerprint of
+    /// the whole file (payload and trailer).
+    Hit(Box<CellData>, u64),
     /// The cell was on disk but damaged; it has been moved to the
     /// quarantine sidecar and the caller should recompute. The string
     /// says what was wrong.
@@ -136,7 +144,7 @@ impl Store {
             Err(e) => return Err(e),
         };
         match decode_cell_file(&bytes, Some(key)) {
-            Ok(data) => Ok(Lookup::Hit(Box::new(data))),
+            Ok((data, file_fnv)) => Ok(Lookup::Hit(Box::new(data), file_fnv)),
             Err(why) => {
                 self.quarantine(&path)?;
                 Ok(Lookup::Quarantined(why))
@@ -157,13 +165,20 @@ impl Store {
     }
 
     /// Write a cell atomically and durably: temp + fsync + rename.
-    pub fn save(&self, key: CellKey, data: &CellData) -> io::Result<()> {
-        let bytes = encode_cell_file(key, data);
+    /// Returns the FNV-1a fingerprint of the file written.
+    ///
+    /// The temp name is unique per write (pid plus a process-wide
+    /// counter), so concurrent saves of one key never share a temp
+    /// file; the last rename wins, and both wrote the same bytes.
+    pub fn save(&self, key: CellKey, data: &CellData) -> io::Result<u64> {
+        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+        let (bytes, file_fnv) = encode_fingerprinted(key, data);
         let final_path = self.cell_path(key);
         let tmp = self.dir.join(format!(
-            "{}.{}.tmp",
+            "{}.{}.{}.tmp",
             Self::cell_name(key),
-            std::process::id()
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         {
             let mut f = std::fs::File::create(&tmp)?;
@@ -177,7 +192,7 @@ impl Store {
         if let Ok(d) = std::fs::File::open(&self.dir) {
             let _ = d.sync_all();
         }
-        Ok(())
+        Ok(file_fnv)
     }
 
     /// Scan every cell file; with `fix`, move damaged ones to
@@ -251,6 +266,12 @@ fn key_from_name(name: &str) -> Option<CellKey> {
 
 /// Serialize a cell: `TDCE` payload + 8-byte LE FNV-1a trailer.
 pub fn encode_cell_file(key: CellKey, data: &CellData) -> Vec<u8> {
+    encode_fingerprinted(key, data).0
+}
+
+/// [`encode_cell_file`] plus the FNV-1a fingerprint of the whole file,
+/// continued from the trailer check rather than hashed again.
+fn encode_fingerprinted(key: CellKey, data: &CellData) -> (Vec<u8>, u64) {
     let mut w = SnapWriter::with_header(MAGIC, VERSION);
     w.write_u64(key.config_hash);
     w.write_u64(key.seed);
@@ -262,14 +283,16 @@ pub fn encode_cell_file(key: CellKey, data: &CellData) -> Vec<u8> {
     write_report(&mut w, &data.report);
     let mut bytes = w.into_bytes();
     let check = fnv1a(&bytes);
-    bytes.extend_from_slice(&check.to_le_bytes());
-    bytes
+    let trailer = check.to_le_bytes();
+    bytes.extend_from_slice(&trailer);
+    (bytes, fnv1a_continue(check, &trailer))
 }
 
 /// Decode and verify a cell file. `expect` (when known) must match the
 /// embedded key — a renamed or cross-copied cell is corruption too.
+/// Returns the cell and the FNV-1a fingerprint of the whole file.
 /// Structured errors, never panics.
-pub fn decode_cell_file(bytes: &[u8], expect: Option<CellKey>) -> Result<CellData, String> {
+pub fn decode_cell_file(bytes: &[u8], expect: Option<CellKey>) -> Result<(CellData, u64), String> {
     if bytes.len() < 8 {
         return Err(format!(
             "file is {} byte(s), too short for a trailer",
@@ -285,6 +308,7 @@ pub fn decode_cell_file(bytes: &[u8], expect: Option<CellKey>) -> Result<CellDat
              found {recorded:016x} in the trailer)"
         ));
     }
+    let file_fnv = fnv1a_continue(computed, trailer);
     let mut r = SnapReader::new(payload);
     let mut decode = || -> Result<CellData, td_engine::SnapError> {
         let version = r.expect_header(MAGIC)?;
@@ -320,7 +344,8 @@ pub fn decode_cell_file(bytes: &[u8], expect: Option<CellKey>) -> Result<CellDat
             report,
         })
     };
-    decode().map_err(|e| e.to_string())
+    let data = decode().map_err(|e| e.to_string())?;
+    Ok((data, file_fnv))
 }
 
 #[cfg(test)]
@@ -361,7 +386,7 @@ mod tests {
         assert!(matches!(store.load(key).unwrap(), Lookup::Miss));
         store.save(key, &data).unwrap();
         let got = match store.load(key).unwrap() {
-            Lookup::Hit(d) => d,
+            Lookup::Hit(d, _) => d,
             other => panic!("{other:?}"),
         };
         assert_eq!(got.experiment, data.experiment);
@@ -371,6 +396,61 @@ mod tests {
         // bytes — the property the daemon's byte-identical-response
         // guarantee rests on.
         assert_eq!(encode_cell_file(key, &data), encode_cell_file(key, &got));
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn one_fingerprint_from_save_load_disk_and_reencode() {
+        let store = tmp_store("fingerprint");
+        let (key, data) = sample();
+        let saved = store.save(key, &data).unwrap();
+        let on_disk = fnv1a(&std::fs::read(store.cell_path(key)).unwrap());
+        let (got, hit) = match store.load(key).unwrap() {
+            Lookup::Hit(d, fnv) => (d, fnv),
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(
+            saved, on_disk,
+            "save returns the fingerprint of what it wrote"
+        );
+        assert_eq!(
+            hit, on_disk,
+            "a hit carries the fingerprint of what it read"
+        );
+        assert_eq!(fnv1a(&encode_cell_file(key, &got)), on_disk);
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn concurrent_saves_of_one_key_both_succeed() {
+        let store = tmp_store("race");
+        let (key, data) = sample();
+        let start = std::sync::Barrier::new(2);
+        let save = || {
+            start.wait();
+            store.save(key, &data)
+        };
+        for round in 0..100 {
+            let (a, b) = std::thread::scope(|s| {
+                let a = s.spawn(save);
+                let b = s.spawn(save);
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            let (a, b) = (a.unwrap(), b.unwrap());
+            assert_eq!(a, b, "round {round}");
+            assert!(
+                matches!(store.load(key).unwrap(), Lookup::Hit(_, fnv) if fnv == a),
+                "round {round}: the surviving file is intact"
+            );
+        }
+        let leftovers = std::fs::read_dir(store.dir())
+            .unwrap()
+            .filter(|e| {
+                let path = e.as_ref().unwrap().path();
+                path.extension().is_some_and(|x| x == "tmp")
+            })
+            .count();
+        assert_eq!(leftovers, 0, "every temp file was renamed into place");
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
@@ -450,7 +530,7 @@ mod tests {
         assert_eq!(rep.tmp_removed, 1);
         assert_eq!(rep.quarantine_removed, 1);
         assert!(rep.bytes_reclaimed > 0);
-        assert!(matches!(store.load(key).unwrap(), Lookup::Hit(_)));
+        assert!(matches!(store.load(key).unwrap(), Lookup::Hit(..)));
         let _ = std::fs::remove_dir_all(store.dir());
     }
 

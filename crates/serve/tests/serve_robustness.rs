@@ -16,10 +16,14 @@
 //!   (exit 0) persisting the queue;
 //! * SIGTERM drain (exit 130) persisting the unstarted queue to
 //!   `pending.tdq`, and a restarted daemon replaying it and serving
-//!   the same request as a cache hit.
+//!   the same request as a cache hit;
+//! * two simultaneous misses of one cell both computed and stored
+//!   without a store-write failure;
+//! * an unbounded or non-UTF-8 request line answered with a counted
+//!   `bad_request`, the daemon still serving afterwards.
 #![cfg(unix)]
 
-use std::io::{BufRead as _, BufReader, Write as _};
+use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -123,6 +127,22 @@ impl PendingReply {
         assert!(!reply.is_empty(), "daemon closed without replying");
         reply.trim_end().to_owned()
     }
+}
+
+/// Send `line` on every open connection, then read one reply from each.
+fn exchange_all(conns: &mut [(UnixStream, BufReader<UnixStream>)], line: &str) -> Vec<String> {
+    for (writer, _) in conns.iter_mut() {
+        writeln!(writer, "{line}").unwrap();
+        writer.flush().unwrap();
+    }
+    conns
+        .iter_mut()
+        .map(|(_, reader)| {
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("read reply");
+            reply.trim_end().to_owned()
+        })
+        .collect()
 }
 
 fn stats(socket: &Path) -> String {
@@ -457,4 +477,84 @@ fn sigterm_drain_persists_queue_and_restart_replays_it() {
         field(&s, "hits") + 1,
         "restored job should make the request a cache hit: {s2}"
     );
+}
+
+#[test]
+fn simultaneous_identical_misses_both_succeed() {
+    let d = spawn_daemon("dupmiss", &["--jobs", "2"], &[]);
+    let req = "{\"op\":\"simulate\",\"experiment\":\"fig2\",\"seed\":31,\"sim_secs\":5}";
+    // Open both connections and have each answer a ping first, so both
+    // are accepted and waiting before either request is sent. Both
+    // lookups then miss before either worker finishes, and two workers
+    // compute the cell and save the same key at about the same time.
+    let mut conns: Vec<_> = (0..2)
+        .map(|_| {
+            let stream = UnixStream::connect(&d.socket).expect("connect");
+            let writer = stream.try_clone().unwrap();
+            (writer, BufReader::new(stream))
+        })
+        .collect();
+    for pong in exchange_all(&mut conns, "{\"op\":\"ping\"}") {
+        assert!(pong.contains("\"pong\":true"), "{pong}");
+    }
+    let replies = exchange_all(&mut conns, req);
+    let (a, b) = (&replies[0], &replies[1]);
+    assert!(a.contains("\"status\":\"ok\""), "first reply: {a}");
+    assert_eq!(a, b, "duplicate misses must reply byte-identically");
+    let s = stats(&d.socket);
+    assert_eq!(field(&s, "misses"), 2, "stats: {s}");
+    assert_eq!(field(&s, "computed"), 2, "stats: {s}");
+    assert_eq!(field(&s, "failed"), 0, "stats: {s}");
+    // The stored cell is intact: the next request is a hit.
+    assert_eq!(&request(&d.socket, req), a);
+    assert_eq!(field(&stats(&d.socket), "hits"), 1);
+}
+
+#[test]
+fn unbounded_and_non_utf8_lines_are_bad_requests() {
+    let d = spawn_daemon("longline", &["--jobs", "1"], &[]);
+
+    // 1 MiB with no newline: rejected and the connection closed, long
+    // before the client has finished sending.
+    let stream = UnixStream::connect(&d.socket).expect("connect");
+    let mut writer = stream.try_clone().unwrap();
+    let sender = std::thread::spawn(move || {
+        // The daemon hangs up mid-stream, so this write may fail.
+        let _ = writer.write_all(&vec![b'x'; 1 << 20]);
+    });
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("read reply");
+    assert!(
+        reply.starts_with("{\"status\":\"bad_request\"") && reply.contains("exceeds"),
+        "over-long reply: {reply}"
+    );
+    // Then the daemon hangs up: EOF, or a reset because it left the
+    // rest of the stream unread.
+    let mut rest = Vec::new();
+    match reader.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "nothing after the reply"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+    sender.join().unwrap();
+
+    // A non-UTF-8 line is rejected, and the connection stays usable.
+    let stream = UnixStream::connect(&d.socket).expect("connect");
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    writer
+        .write_all(b"{\"op\":\"ping\xff\"}\n{\"op\":\"ping\"}\n")
+        .unwrap();
+    writer.flush().unwrap();
+    let mut bad = String::new();
+    reader.read_line(&mut bad).unwrap();
+    assert!(bad.contains("not UTF-8"), "non-UTF-8 reply: {bad}");
+    let mut pong = String::new();
+    reader.read_line(&mut pong).unwrap();
+    assert!(pong.contains("\"pong\":true"), "same connection: {pong}");
+
+    // The daemon still serves fresh connections and counted both.
+    assert!(request(&d.socket, "{\"op\":\"ping\"}").contains("\"pong\":true"));
+    let s = stats(&d.socket);
+    assert_eq!(field(&s, "bad_requests"), 2, "stats: {s}");
 }
