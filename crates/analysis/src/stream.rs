@@ -25,7 +25,10 @@
 //!   `(time, causal rank, content)` order, while each shard's analyzer
 //!   sees only its own emissions in dispatch order. Building the analyzer
 //!   with [`StreamSpec::canonical_ties`] makes it buffer same-instant
-//!   records and fold them in [`td_net::canonical_trace_cmp`] order.
+//!   records and fold them in [`td_net::canonical_trace_cmp`] order. Only
+//!   records some spec entry consumes are buffered: the relevant subset of
+//!   a group, sorted by the same comparator, folds in the same order, and
+//!   a world-scale trace no longer passes through the sort.
 //!   Because every channel, connection, and endpoint lives wholly on one
 //!   shard, sorting a *shard's* same-instant group by the global
 //!   comparator puts each key's records in exactly the relative order
@@ -141,7 +144,8 @@ struct UtilState {
 pub struct StreamAnalyzer {
     canonical_ties: bool,
     /// Same-instant records awaiting canonical ordering (canonical-ties
-    /// mode only; always empty otherwise).
+    /// mode only; always empty otherwise). Holds only records that
+    /// [`StreamAnalyzer::consumes`] accepts.
     pending: Vec<TraceRecord>,
     queues: Vec<(ChannelId, TimeSeries)>,
     cwnds: Vec<(ConnId, TimeSeries)>,
@@ -243,6 +247,27 @@ impl StreamAnalyzer {
                 }
             }
             _ => {}
+        }
+    }
+
+    /// True if folding `ev` would change some measurement: exactly the
+    /// records a [`StreamAnalyzer::fold`] arm acts on.
+    fn consumes(&self, ev: &TraceEvent) -> bool {
+        match *ev {
+            TraceEvent::Enqueue { ch, .. } => self.queues.iter().any(|(c, _)| *c == ch),
+            TraceEvent::TxEnd { ch, .. } => {
+                self.queues.iter().any(|(c, _)| *c == ch)
+                    || self.utils.iter().any(|u| u.ch == ch)
+                    || self.departures.iter().any(|(c, _)| *c == ch)
+            }
+            TraceEvent::TxStart { ch, .. } => self.utils.iter().any(|u| u.ch == ch),
+            TraceEvent::Proto {
+                conn,
+                ev: ProtoEvent::Cwnd { .. },
+                ..
+            } => self.cwnds.iter().any(|(c, _)| *c == conn),
+            TraceEvent::Drop { .. } => self.drops.is_some(),
+            _ => false,
         }
     }
 
@@ -375,6 +400,12 @@ impl StreamAnalyzer {
 impl TraceObserver for StreamAnalyzer {
     fn on_record(&mut self, t: SimTime, ev: &TraceEvent) {
         if self.canonical_ties {
+            // Filtering before buffering keeps the fold order: the sort is
+            // a total order, so the relevant records of a group sort the
+            // same with or without the ignored ones between them.
+            if !self.consumes(ev) {
+                return;
+            }
             if self.pending.first().is_some_and(|r| r.t != t) {
                 self.flush_pending();
             }
@@ -651,6 +682,71 @@ mod tests {
             .collect();
         let m = StreamAnalyzer::merge(parts).finish();
         assert_matches_batch(&m, &sorted, t0, t1);
+    }
+
+    /// Records no spec entry consumes never reach `pending`, and dropping
+    /// them changes nothing: an analyzer fed a trace that interleaves
+    /// ignored records at the same instants as kept ones finishes exactly
+    /// like one fed only the kept records, with and without
+    /// `canonical_ties`.
+    #[test]
+    fn ignored_records_are_filtered_before_buffering() {
+        let tr = synthetic_trace(11, 4000);
+        let (t0, t1) = (SimTime::from_millis(50), SimTime::from_millis(900));
+        // Channel 0 and connection 1 only, no drops: channel 1's queue
+        // and tx records, connection 0's cwnds, drops and deliveries are
+        // all ignored, and the synthetic trace puts them at the same
+        // instants as kept records.
+        let narrow = StreamSpec::new()
+            .queue(ChannelId(0))
+            .cwnd(ConnId(1))
+            .utilization(ChannelId(0), t0, t1)
+            .departures(ChannelId(0));
+        // Relevance written out independently of `consumes`.
+        let relevant = |ev: &TraceEvent| match *ev {
+            TraceEvent::Enqueue { ch, .. }
+            | TraceEvent::TxStart { ch, .. }
+            | TraceEvent::TxEnd { ch, .. } => ch == ChannelId(0),
+            TraceEvent::Proto {
+                conn,
+                ev: ProtoEvent::Cwnd { .. },
+                ..
+            } => conn == ConnId(1),
+            _ => false,
+        };
+        let mut groups_mixed = 0;
+        for sp in [narrow.clone(), narrow.canonical_ties()] {
+            let mut fed_all = StreamAnalyzer::new(&sp);
+            let mut fed_relevant = StreamAnalyzer::new(&sp);
+            let mut ignored = 0;
+            let mut prev: Option<(SimTime, bool)> = None;
+            for r in tr.records() {
+                let kept = relevant(&r.ev);
+                fed_all.on_record(r.t, &r.ev);
+                assert!(
+                    fed_all.pending.iter().all(|p| relevant(&p.ev)),
+                    "an ignored record was buffered"
+                );
+                if kept {
+                    fed_relevant.on_record(r.t, &r.ev);
+                } else {
+                    ignored += 1;
+                }
+                if prev.is_some_and(|(t, k)| t == r.t && k != kept) {
+                    groups_mixed += 1;
+                }
+                prev = Some((r.t, kept));
+            }
+            assert!(ignored > 1000, "the trace must carry ignored records");
+            assert_eq!(
+                format!("{:?}", fed_all.finish()),
+                format!("{:?}", fed_relevant.finish())
+            );
+        }
+        assert!(
+            groups_mixed > 100,
+            "ignored and kept records must share instants"
+        );
     }
 
     /// The trailing in-flight transmission is clipped to t1, exactly as

@@ -1,19 +1,15 @@
-//! Simulator-core microbenchmarks: event queue (slab vs. the pre-change
-//! legacy queue), RNG, and the end-to-end event-processing rate of a
-//! saturated dumbbell.
+//! Simulator-core microbenchmarks: event queue, RNG, and the end-to-end
+//! event-processing rate of a saturated dumbbell.
 //!
 //! Besides the human-readable table, the run emits a machine-readable
 //! `BENCH_engine.json` (override the path with `TD_BENCH_JSON`; note that
 //! `cargo bench` runs this binary with its cwd at the *package* root,
 //! `crates/bench/`, so pass an absolute path to land elsewhere) so the
 //! repository accumulates a perf trajectory; CI uploads it as an
-//! artifact. The `legacy` variants run the frozen pre-slab queue from
-//! `td_engine::legacy` in the same binary, so every report carries its
-//! own old-vs-new comparison.
+//! artifact.
 
 use std::hint::black_box;
 use td_bench::Harness;
-use td_engine::legacy::LegacyEventQueue;
 use td_engine::{EventQueue, SimDuration, SimRng, SimTime};
 use td_experiments::{ConnSpec, Scenario};
 
@@ -34,21 +30,6 @@ fn event_queue_churn(c: &mut Harness) {
             }
         });
     });
-    c.bench_function("engine/event-queue push-pop 10k (legacy)", |b| {
-        b.iter(|| {
-            let mut q = LegacyEventQueue::new();
-            for i in 0..10_000u64 {
-                let t = SimTime::from_nanos((i * 2_654_435_761) % 1_000_000_000);
-                q.schedule_at(t.max(q.now()), i);
-                if i % 3 == 0 {
-                    black_box(q.pop());
-                }
-            }
-            while let Some(e) = q.pop() {
-                black_box(e);
-            }
-        });
-    });
 }
 
 /// Bulk schedule, cancel half, drain — the shape of a mass timer sweep.
@@ -56,20 +37,6 @@ fn event_queue_cancel_heavy(c: &mut Harness) {
     c.bench_function("engine/event-queue cancel-heavy 10k", |b| {
         b.iter(|| {
             let mut q = EventQueue::new();
-            let ids: Vec<_> = (0..10_000u64)
-                .map(|i| q.schedule_at(SimTime::from_nanos(i), i))
-                .collect();
-            for id in ids.iter().step_by(2) {
-                q.cancel(*id);
-            }
-            while let Some(e) = q.pop() {
-                black_box(e);
-            }
-        });
-    });
-    c.bench_function("engine/event-queue cancel-heavy 10k (legacy)", |b| {
-        b.iter(|| {
-            let mut q = LegacyEventQueue::new();
             let ids: Vec<_> = (0..10_000u64)
                 .map(|i| q.schedule_at(SimTime::from_nanos(i), i))
                 .collect();
@@ -102,26 +69,6 @@ fn event_queue_timer_churn(c: &mut Harness) {
                 q.cancel(armed[k]);
                 armed[k] = q.schedule_in(SimDuration::from_millis(100), r);
                 // Occasionally the clock advances over a due event.
-                if r % 64 == 0 {
-                    if let Some((_, tag)) = q.pop() {
-                        black_box(tag);
-                    }
-                }
-            }
-            black_box(q.len())
-        });
-    });
-    c.bench_function("engine/event-queue timer-churn 256x10k (legacy)", |b| {
-        let mut rng = SimRng::new(7);
-        b.iter(|| {
-            let mut q = LegacyEventQueue::new();
-            let mut armed: Vec<_> = (0..TIMERS as u64)
-                .map(|i| q.schedule_at(SimTime::from_millis(100 + i), i))
-                .collect();
-            for r in 0..ROUNDS {
-                let k = rng.next_below(TIMERS as u64) as usize;
-                q.cancel(armed[k]);
-                armed[k] = q.schedule_in(SimDuration::from_millis(100), r);
                 if r % 64 == 0 {
                     if let Some((_, tag)) = q.pop() {
                         black_box(tag);

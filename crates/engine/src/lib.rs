@@ -15,8 +15,8 @@
 //!   O(log n) cancellation and O(1) `&self` peeking. Ties in time are
 //!   broken by schedule order, which makes every run deterministic: two
 //!   events scheduled for the same instant fire in the order they were
-//!   scheduled. (The pre-slab implementation survives in [`legacy`] as a
-//!   differential-testing oracle and benchmark baseline.)
+//!   scheduled. (The pre-slab implementation survives only inside
+//!   `tests/queue_differential.rs`, as a differential-testing oracle.)
 //! * [`SimRng`] — a small, seedable, deterministic random-number generator
 //!   (an `xoshiro256**` implemented locally) so experiments are reproducible
 //!   from a single `u64` seed and independent of external crate versioning.
@@ -47,7 +47,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod legacy;
 mod queue;
 mod rate;
 mod rng;

@@ -2,17 +2,27 @@
 //!
 //! Events live in a **generation-counted slab**: scheduling claims a slot
 //! (reusing freed ones), and the returned [`EventId`] is the pair
-//! `(slot, generation)`. A parallel **4-ary heap of slot indices** orders
-//! the pending set by `(time, seq)`, where `seq` is a monotone counter
-//! assigned at scheduling time — so events scheduled for the same instant
-//! fire in scheduling order. This total order is what makes
-//! whole-simulation runs reproducible: there is never an "arbitrary"
-//! choice left to hash-map iteration order or heap tie-breaking, and it is
-//! byte-for-byte the order the engine's original binary-heap queue
-//! produced (see [`crate::legacy`] and `tests/queue_differential.rs`).
+//! `(slot, generation)`. A parallel **4-ary heap of inline-key cells**
+//! orders the pending set by `(time, key, seq)`, where `seq` is a monotone
+//! counter assigned at scheduling time — so events scheduled for the same
+//! instant (and key) fire in scheduling order. This total order is what
+//! makes whole-simulation runs reproducible: there is never an
+//! "arbitrary" choice left to hash-map iteration order or heap
+//! tie-breaking, and it is byte-for-byte the order the engine's original
+//! binary-heap queue produced (`tests/queue_differential.rs` keeps that
+//! queue as an oracle and drives both in lockstep).
 //!
-//! Each slot remembers its position in the heap, which buys the two
-//! operations the old design faked with tombstones:
+//! Each heap cell carries its sort key inline — `(at, key, seq, slot)`,
+//! 32 bytes — so a sift compares against adjacent heap memory only, and
+//! each slot's heap position lives in a dense `u32` array beside the slab
+//! rather than in the slot itself. A sift therefore never touches the
+//! slab: on a deep queue of large events the four children of a node sit
+//! in one or two cache lines instead of four random slab cells, and each
+//! moved cell updates 4 bytes of a small array instead of a random slab
+//! cell.
+//!
+//! Each slot's remembered heap position buys the two operations the old
+//! design faked with tombstones:
 //!
 //! * [`EventQueue::cancel`] is a **true O(log n) removal** — swap the
 //!   victim with the last heap entry and re-sift. No tombstone ever enters
@@ -71,11 +81,15 @@ impl EventId {
 
 /// One slab cell. `event == None` means vacant (on the free list, its
 /// `gen` already bumped past every handle issued for it).
+///
+/// `at`, `key` and `seq` duplicate the occupant's heap cell. Sifts never
+/// read them; they are the slab's copy for the snapshot layout, which
+/// records every slot cell for cell (a vacant slot keeps its last
+/// occupant's key) and from which [`EventQueue::load_state`] rebuilds the
+/// heap cells. The slot's heap position is `EventQueue::heap_pos[slot]`.
 struct Slot<E> {
     /// Generation of the current (or next) occupant.
     gen: u64,
-    /// Index into `heap` while pending; `NOT_IN_HEAP` when vacant.
-    heap_pos: u32,
     /// Absolute due time of the current occupant.
     at: SimTime,
     /// Caller-supplied tie key, ordered before `seq` among same-time
@@ -89,6 +103,24 @@ struct Slot<E> {
     event: Option<E>,
 }
 
+/// One heap entry: the pending event's sort key `(at, key, seq)` inline,
+/// plus the slab slot holding the event. Keys are unique (`seq` is), so
+/// the derived order on the leading three fields is total.
+#[derive(Clone, Copy, Debug)]
+struct Cell {
+    at: SimTime,
+    key: u64,
+    seq: u64,
+    slot: u32,
+}
+
+impl Cell {
+    #[inline]
+    fn sort_key(&self) -> (SimTime, u64, u64) {
+        (self.at, self.key, self.seq)
+    }
+}
+
 /// A deterministic, cancellable discrete-event queue.
 ///
 /// The queue also tracks the simulation clock: [`EventQueue::now`] is the
@@ -97,13 +129,16 @@ struct Slot<E> {
 /// caller bugs.
 ///
 /// Memory: the slab holds one cell per *concurrently pending* event (peak,
-/// not total — retired slots are reused), and the heap is a `Vec<u32>` of
-/// the same length. Nothing grows with the number of events ever
-/// scheduled.
+/// not total — retired slots are reused), and the heap holds one 32-byte
+/// inline-key cell per pending event. Nothing grows with the number of
+/// events ever scheduled.
 pub struct EventQueue<E> {
-    /// Slot indices, heap-ordered by `(slots[i].at, slots[i].seq)`.
-    heap: Vec<u32>,
+    /// Inline-key cells, heap-ordered by `(at, key, seq)`.
+    heap: Vec<Cell>,
     slots: Vec<Slot<E>>,
+    /// Index into `heap` of each slot's occupant (parallel to `slots`);
+    /// `NOT_IN_HEAP` when vacant.
+    heap_pos: Vec<u32>,
     /// Vacant slot indices, reused LIFO.
     free: Vec<u32>,
     next_seq: u64,
@@ -136,6 +171,7 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: Vec::new(),
             slots: Vec::new(),
+            heap_pos: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
             now: SimTime::ZERO,
@@ -152,6 +188,7 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: Vec::with_capacity(n),
             slots: Vec::with_capacity(n),
+            heap_pos: Vec::with_capacity(n),
             free: Vec::with_capacity(n),
             ..Self::new()
         }
@@ -190,49 +227,45 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// `(at, key, seq)` sort key of the slot at heap position `pos`.
+    /// Store `cell` at heap position `pos` and point its slot back at it.
     #[inline]
-    fn key(&self, pos: usize) -> (SimTime, u64, u64) {
-        let s = &self.slots[self.heap[pos] as usize];
-        (s.at, s.key, s.seq)
-    }
-
-    #[inline]
-    fn set_pos(&mut self, pos: usize, slot: u32) {
-        self.heap[pos] = slot;
-        self.slots[slot as usize].heap_pos = pos as u32;
+    fn set_pos(&mut self, pos: usize, cell: Cell) {
+        self.heap_pos[cell.slot as usize] = pos as u32;
+        self.heap[pos] = cell;
     }
 
     /// Move the entry at `pos` rootward while it sorts before its parent.
     fn sift_up(&mut self, mut pos: usize) {
-        let slot = self.heap[pos];
-        let key = self.key(pos);
+        let cell = self.heap[pos];
+        let key = cell.sort_key();
         while pos > 0 {
             let parent = (pos - 1) / 4;
-            if key >= self.key(parent) {
+            let p = self.heap[parent];
+            if key >= p.sort_key() {
                 break;
             }
-            let p = self.heap[parent];
             self.set_pos(pos, p);
             pos = parent;
         }
-        self.set_pos(pos, slot);
+        self.set_pos(pos, cell);
     }
 
-    /// Move the entry at `pos` leafward while some child sorts before it.
-    fn sift_down(&mut self, mut pos: usize) {
-        let slot = self.heap[pos];
-        let key = self.key(pos);
+    /// Move the entry at `pos` leafward while some child sorts before it;
+    /// returns its final position.
+    fn sift_down(&mut self, mut pos: usize) -> usize {
+        let cell = self.heap[pos];
+        let key = cell.sort_key();
+        let len = self.heap.len();
         loop {
             let first = pos * 4 + 1;
-            if first >= self.heap.len() {
+            if first >= len {
                 break;
             }
-            let last = (first + 4).min(self.heap.len());
+            let last = (first + 4).min(len);
             let mut best = first;
-            let mut best_key = self.key(first);
+            let mut best_key = self.heap[first].sort_key();
             for c in first + 1..last {
-                let k = self.key(c);
+                let k = self.heap[c].sort_key();
                 if k < best_key {
                     best = c;
                     best_key = k;
@@ -245,24 +278,22 @@ impl<E> EventQueue<E> {
             self.set_pos(pos, b);
             pos = best;
         }
-        self.set_pos(pos, slot);
+        self.set_pos(pos, cell);
+        pos
     }
 
     /// Detach the heap entry at `pos` and restore heap order. The caller
     /// still owns the slot's contents.
     fn remove_heap_entry(&mut self, pos: usize) {
-        let last = self.heap.len() - 1;
-        if pos == last {
-            self.heap.pop();
+        let moved = self.heap.pop().expect("removing from an empty heap");
+        if pos == self.heap.len() {
             return;
         }
-        let moved = self.heap[last];
-        self.heap.pop();
-        self.set_pos(pos, moved);
+        self.heap[pos] = moved;
         // The replacement came from a leaf: it can only need to move down,
         // unless the removed entry was below the replacement's parent chain.
-        self.sift_down(pos);
-        self.sift_up(self.slots[moved as usize].heap_pos as usize);
+        let pos = self.sift_down(pos);
+        self.sift_up(pos);
     }
 
     /// Return `slot` to the free list, bumping its generation so every
@@ -270,8 +301,8 @@ impl<E> EventQueue<E> {
     fn retire(&mut self, slot: u32) -> E {
         let s = &mut self.slots[slot as usize];
         s.gen += 1;
-        s.heap_pos = NOT_IN_HEAP;
         let ev = s.event.take().expect("retiring a vacant slot");
+        self.heap_pos[slot as usize] = NOT_IN_HEAP;
         self.free.push(slot);
         ev
     }
@@ -318,19 +349,18 @@ impl<E> EventQueue<E> {
                 assert!(slot != u32::MAX, "event slab full");
                 self.slots.push(Slot {
                     gen: 0,
-                    heap_pos: NOT_IN_HEAP,
                     at,
                     key,
                     seq,
                     event: Some(event),
                 });
+                self.heap_pos.push(NOT_IN_HEAP);
                 slot
             }
         };
         let gen = self.slots[slot as usize].gen;
         let pos = self.heap.len();
-        self.heap.push(slot);
-        self.slots[slot as usize].heap_pos = pos as u32;
+        self.heap.push(Cell { at, key, seq, slot });
         self.sift_up(pos);
         if self.heap.len() > self.peak_len {
             self.peak_len = self.heap.len();
@@ -355,7 +385,7 @@ impl<E> EventQueue<E> {
     pub fn cancel(&mut self, id: EventId) -> bool {
         match self.slots.get(id.slot as usize) {
             Some(s) if s.gen == id.gen && s.event.is_some() => {
-                let pos = s.heap_pos as usize;
+                let pos = self.heap_pos[id.slot as usize] as usize;
                 self.remove_heap_entry(pos);
                 self.retire(id.slot);
                 true
@@ -377,11 +407,10 @@ impl<E> EventQueue<E> {
     /// Remove and return the earliest live event, advancing the clock.
     /// Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let &root = self.heap.first()?;
-        let at = self.slots[root as usize].at;
+        let &Cell { at, slot, .. } = self.heap.first()?;
         debug_assert!(at >= self.now, "heap produced an event in the past");
         self.remove_heap_entry(0);
-        let event = self.retire(root);
+        let event = self.retire(slot);
         self.now = at;
         self.popped += 1;
         crate::telemetry::flush(self.unflushed_sched, 1, self.peak_len);
@@ -403,7 +432,7 @@ impl<E> EventQueue<E> {
     /// `&self`: cancelled events are removed eagerly, so the root is
     /// always live.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|&s| self.slots[s as usize].at)
+        self.heap.first().map(|c| c.at)
     }
 
     /// Advance the clock to `t` without popping anything — a bounded run
@@ -432,15 +461,15 @@ impl<E> EventQueue<E> {
     /// re-schedules only the events it owns.
     pub fn drain_pending(&mut self) -> Vec<(SimTime, u64, E)> {
         let mut out: Vec<(SimTime, u64, u64, E)> = Vec::with_capacity(self.heap.len());
-        for slot in std::mem::take(&mut self.heap) {
-            let s = &mut self.slots[slot as usize];
+        for c in std::mem::take(&mut self.heap) {
+            let s = &mut self.slots[c.slot as usize];
             // Retire like `cancel`: generations bump so any outstanding
             // handle to a drained event goes stale instead of aliasing.
             s.gen += 1;
-            s.heap_pos = NOT_IN_HEAP;
+            self.heap_pos[c.slot as usize] = NOT_IN_HEAP;
             let ev = s.event.take().expect("heap entry points at vacant slot");
-            out.push((s.at, s.key, s.seq, ev));
-            self.free.push(slot);
+            out.push((c.at, c.key, c.seq, ev));
+            self.free.push(c.slot);
         }
         out.sort_by_key(|&(at, key, seq, _)| (at, key, seq));
         out.into_iter()
@@ -455,10 +484,10 @@ impl<E> EventQueue<E> {
         let mut refs: Vec<(SimTime, u64, u64, &E)> = self
             .heap
             .iter()
-            .map(|&slot| {
-                let s = &self.slots[slot as usize];
+            .map(|c| {
+                let s = &self.slots[c.slot as usize];
                 let ev = s.event.as_ref().expect("heap entry points at vacant slot");
-                (s.at, s.key, s.seq, ev)
+                (c.at, c.key, c.seq, ev)
             })
             .collect();
         refs.sort_by_key(|&(at, key, seq, _)| (at, key, seq));
@@ -475,10 +504,10 @@ impl<E> EventQueue<E> {
         let mut refs: Vec<(SimTime, u64, u64, EventId, &E)> = self
             .heap
             .iter()
-            .map(|&slot| {
-                let s = &self.slots[slot as usize];
+            .map(|c| {
+                let s = &self.slots[c.slot as usize];
                 let ev = s.event.as_ref().expect("heap entry points at vacant slot");
-                (s.at, s.key, s.seq, EventId::from_raw(slot, s.gen), ev)
+                (c.at, c.key, c.seq, EventId::from_raw(c.slot, s.gen), ev)
             })
             .collect();
         refs.sort_by_key(|&(at, key, seq, _, _)| (at, key, seq));
@@ -501,9 +530,9 @@ impl<E> EventQueue<E> {
         w.write_u64(self.popped);
         w.write_u64(self.peak_len as u64);
         w.write_u64(self.slots.len() as u64);
-        for s in &self.slots {
+        for (s, &pos) in self.slots.iter().zip(&self.heap_pos) {
             w.write_u64(s.gen);
-            w.write_u32(s.heap_pos);
+            w.write_u32(pos);
             w.write_time(s.at);
             w.write_u64(s.key);
             w.write_u64(s.seq);
@@ -516,8 +545,8 @@ impl<E> EventQueue<E> {
             }
         }
         w.write_u64(self.heap.len() as u64);
-        for &slot in &self.heap {
-            w.write_u32(slot);
+        for c in &self.heap {
+            w.write_u32(c.slot);
         }
         w.write_u64(self.free.len() as u64);
         for &slot in &self.free {
@@ -527,7 +556,8 @@ impl<E> EventQueue<E> {
 
     /// Rebuild a queue from [`EventQueue::save_state`] bytes, decoding
     /// each pending event with `dec`. Slab/heap cross-links are verified,
-    /// so a corrupt snapshot fails here instead of panicking mid-run.
+    /// so a corrupt snapshot fails here instead of panicking mid-run; the
+    /// heap cells' inline keys are rebuilt from the slab.
     ///
     /// The rebuilt queue starts with a zero telemetry debt
     /// (`unflushed_sched`): its events were already counted by the queue
@@ -547,16 +577,16 @@ impl<E> EventQueue<E> {
             return Err(SnapError::Truncated);
         }
         let mut slots = Vec::with_capacity(n_slots);
+        let mut heap_pos = Vec::with_capacity(n_slots);
         for _ in 0..n_slots {
             let gen = r.read_u64()?;
-            let heap_pos = r.read_u32()?;
+            heap_pos.push(r.read_u32()?);
             let at = r.read_time()?;
             let key = r.read_u64()?;
             let seq = r.read_u64()?;
             let event = if r.read_bool()? { Some(dec(r)?) } else { None };
             slots.push(Slot {
                 gen,
-                heap_pos,
                 at,
                 key,
                 seq,
@@ -567,9 +597,9 @@ impl<E> EventQueue<E> {
         if n_heap > n_slots {
             return Err(SnapError::Corrupt("heap larger than slab".into()));
         }
-        let mut heap = Vec::with_capacity(n_heap);
+        let mut heap_slots = Vec::with_capacity(n_heap);
         for _ in 0..n_heap {
-            heap.push(r.read_u32()?);
+            heap_slots.push(r.read_u32()?);
         }
         let n_free = r.read_u64()? as usize;
         if n_heap + n_free != n_slots {
@@ -581,25 +611,33 @@ impl<E> EventQueue<E> {
         }
         // Verify cross-links: every heap entry points at an occupied slot
         // that points back; every free entry at a vacant, detached slot.
-        for (pos, &slot) in heap.iter().enumerate() {
+        let mut heap = Vec::with_capacity(n_heap);
+        for (pos, &slot) in heap_slots.iter().enumerate() {
             let s = slots
                 .get(slot as usize)
                 .ok_or_else(|| SnapError::Corrupt("heap entry out of slab".into()))?;
-            if s.heap_pos as usize != pos || s.event.is_none() {
+            if heap_pos[slot as usize] as usize != pos || s.event.is_none() {
                 return Err(SnapError::Corrupt("heap/slab backlink broken".into()));
             }
+            heap.push(Cell {
+                at: s.at,
+                key: s.key,
+                seq: s.seq,
+                slot,
+            });
         }
         for &slot in &free {
             let s = slots
                 .get(slot as usize)
                 .ok_or_else(|| SnapError::Corrupt("free entry out of slab".into()))?;
-            if s.heap_pos != NOT_IN_HEAP || s.event.is_some() {
+            if heap_pos[slot as usize] != NOT_IN_HEAP || s.event.is_some() {
                 return Err(SnapError::Corrupt("free list points at live slot".into()));
             }
         }
         Ok(EventQueue {
             heap,
             slots,
+            heap_pos,
             free,
             next_seq,
             now,
@@ -610,7 +648,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Heap-shape invariant check, for tests: every parent sorts at or
-    /// before its children and every slot/heap index link is mutual.
+    /// before its children, every slot/heap index link is mutual, and
+    /// every cell's inline key equals its slot's.
     #[cfg(test)]
     fn assert_invariants(&self) {
         assert_eq!(
@@ -618,20 +657,28 @@ impl<E> EventQueue<E> {
             self.slots.len(),
             "slab accounting broken"
         );
-        for pos in 0..self.heap.len() {
-            let slot = self.heap[pos] as usize;
-            assert_eq!(self.slots[slot].heap_pos as usize, pos, "backlink broken");
-            assert!(self.slots[slot].event.is_some(), "vacant slot in heap");
+        for (pos, c) in self.heap.iter().enumerate() {
+            let s = &self.slots[c.slot as usize];
+            assert_eq!(
+                self.heap_pos[c.slot as usize] as usize, pos,
+                "backlink broken"
+            );
+            assert!(s.event.is_some(), "vacant slot in heap");
+            assert_eq!(
+                c.sort_key(),
+                (s.at, s.key, s.seq),
+                "inline key differs from its slot"
+            );
             if pos > 0 {
                 assert!(
-                    self.key((pos - 1) / 4) <= self.key(pos),
+                    self.heap[(pos - 1) / 4].sort_key() <= c.sort_key(),
                     "heap order broken"
                 );
             }
         }
         for &slot in &self.free {
             assert!(self.slots[slot as usize].event.is_none());
-            assert_eq!(self.slots[slot as usize].heap_pos, NOT_IN_HEAP);
+            assert_eq!(self.heap_pos[slot as usize], NOT_IN_HEAP);
         }
     }
 }
@@ -1085,6 +1132,52 @@ mod tests {
                 break;
             }
         }
+    }
+
+    /// One random schedule-keyed / cancel / pop step, for snapshot tests.
+    fn random_op(q: &mut EventQueue<u64>, ids: &mut Vec<EventId>, rng: &mut crate::SimRng, i: u64) {
+        match rng.next_below(4) {
+            0 | 1 => {
+                let at = q.now() + SimDuration::from_nanos(rng.next_below(100));
+                ids.push(q.schedule_keyed(at, rng.next_below(3), i));
+            }
+            2 if !ids.is_empty() => {
+                let k = rng.next_below(ids.len() as u64) as usize;
+                q.cancel(ids.swap_remove(k));
+            }
+            _ => {
+                q.pop();
+            }
+        }
+    }
+
+    /// `load_state` rebuilds the inline heap keys from the slab: the
+    /// restored queue re-encodes to the very same bytes, and keeps doing
+    /// so in lockstep with the original through further operations.
+    #[test]
+    fn snapshot_bytes_survive_load_and_further_operations() {
+        let encode = |q: &EventQueue<u64>| {
+            let mut w = SnapWriter::new();
+            q.save_state(&mut w, |e, w| w.write_u64(*e));
+            w.into_bytes()
+        };
+        let mut q = EventQueue::new();
+        let mut rng = crate::SimRng::new(0x1A1E);
+        let mut ids = Vec::new();
+        for i in 0..3_000u64 {
+            random_op(&mut q, &mut ids, &mut rng, i);
+        }
+        let mut restored = roundtrip(&q);
+        restored.assert_invariants();
+        assert_eq!(encode(&restored), encode(&q));
+        // The same operations on both: identical bytes throughout.
+        let (mut ids_r, mut rng_r) = (ids.clone(), rng.clone());
+        for i in 3_000..4_000u64 {
+            random_op(&mut q, &mut ids, &mut rng, i);
+            random_op(&mut restored, &mut ids_r, &mut rng_r, i);
+            assert_eq!(encode(&restored), encode(&q), "diverged at op {i}");
+        }
+        restored.assert_invariants();
     }
 
     #[test]

@@ -23,10 +23,10 @@
 //! [`td_engine::telemetry`]: reset before a task, take after, merge
 //! helper-thread deltas.
 
+use crate::hash::FxHashMap;
 use crate::packet::{ConnId, NodeId};
 use crate::world::ChannelId;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use td_engine::SimTime;
 
 /// Keep the first this-many violation records (the count keeps rising).
@@ -88,9 +88,9 @@ pub struct Audit {
     delivered: u64,
     dropped: u64,
     /// Highest ACK sequence seen per (connection, emitting host).
-    last_ack: HashMap<(ConnId, NodeId), u64>,
+    last_ack: FxHashMap<(ConnId, NodeId), u64>,
     /// Registered cwnd upper bound per connection (sender `maxwnd`).
-    window_bounds: HashMap<ConnId, f64>,
+    window_bounds: FxHashMap<ConnId, f64>,
     violations: Vec<AuditViolation>,
     total: u64,
     /// Conservation is flagged at most once: a broken counter would
@@ -425,7 +425,10 @@ impl Audit {
         // Capacity bounded by the bytes that could actually encode the
         // entries (each costs ≥ 16 bytes), so a corrupt count fails on
         // a read instead of attempting a huge allocation.
-        self.last_ack = HashMap::with_capacity((n_acks as usize).min(r.remaining()));
+        self.last_ack = FxHashMap::with_capacity_and_hasher(
+            (n_acks as usize).min(r.remaining()),
+            Default::default(),
+        );
         for _ in 0..n_acks {
             let c = ConnId(r.read_u32()?);
             let n = NodeId(r.read_u32()?);
@@ -433,7 +436,10 @@ impl Audit {
             self.last_ack.insert((c, n), seq);
         }
         let n_bounds = r.read_u64()?;
-        self.window_bounds = HashMap::with_capacity((n_bounds as usize).min(r.remaining()));
+        self.window_bounds = FxHashMap::with_capacity_and_hasher(
+            (n_bounds as usize).min(r.remaining()),
+            Default::default(),
+        );
         for _ in 0..n_bounds {
             let c = ConnId(r.read_u32()?);
             let b = r.read_f64()?;

@@ -98,6 +98,7 @@ pub mod audit;
 pub mod deadline;
 mod discipline;
 mod fault;
+mod hash;
 pub mod mc;
 mod packet;
 mod partition;

@@ -46,6 +46,7 @@ use crate::arena::{ChannelArena, HostArena};
 use crate::audit::Audit;
 use crate::discipline::{Discipline, Victim};
 use crate::fault::{FaultError, FaultKind, FaultModel, FaultOutcome, FaultPlan, Outage};
+use crate::hash::FxHashMap;
 use crate::packet::{ConnId, NodeId, Packet, PacketId, PacketKind};
 use crate::route::RouteTable;
 use crate::snapcount;
@@ -236,7 +237,7 @@ pub trait Endpoint: Send {
 enum NodeKind {
     Host {
         uplink: Option<ChannelId>,
-        endpoints: HashMap<ConnId, EndpointId>,
+        endpoints: FxHashMap<ConnId, EndpointId>,
     },
     Switch {
         /// Compressed next-hop table (see [`crate::route`]): sorted
@@ -663,7 +664,7 @@ impl World {
             name: name.to_owned(),
             kind: NodeKind::Host {
                 uplink: None,
-                endpoints: HashMap::new(),
+                endpoints: FxHashMap::default(),
             },
         });
         self.hosts.push_host(proc_delay);

@@ -482,7 +482,12 @@ fn sigterm_drain_persists_queue_and_restart_replays_it() {
 #[test]
 fn simultaneous_identical_misses_both_succeed() {
     let d = spawn_daemon("dupmiss", &["--jobs", "2"], &[]);
-    let req = "{\"op\":\"simulate\",\"experiment\":\"fig2\",\"seed\":31,\"sim_secs\":5}";
+    // `multihop` over 1000 simulated seconds computes for ≈0.5 s in a
+    // release build (more in debug). Each connection's lookup runs as soon
+    // as its line arrives, so the second lookup misses unless scheduler
+    // jitter delays it by a whole compute: the compute must dwarf that
+    // jitter, which a cell of a few milliseconds does not.
+    let req = "{\"op\":\"simulate\",\"experiment\":\"multihop\",\"seed\":31,\"sim_secs\":1000}";
     // Open both connections and have each answer a ping first, so both
     // are accepted and waiting before either request is sent. Both
     // lookups then miss before either worker finishes, and two workers
